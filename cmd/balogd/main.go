@@ -106,7 +106,7 @@ func run(args []string) error {
 		defer cancel()
 		return d.Shutdown(ctx)
 	case <-d.Failed():
-		// The replica failed (instance timeout, store error): exit nonzero
+		// The engine failed (instance timeout, store error): exit nonzero
 		// so a supervisor restarts the process.
 		return d.Err()
 	}

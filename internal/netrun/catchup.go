@@ -27,17 +27,12 @@ const (
 	catchupChunk = 256
 )
 
-// ServeCatchup opens a dedicated catch-up listener answering
+// ServeCatchup opens a dedicated catch-up listener on addr answering
 // CatchupReq frames from handler, and returns its address. The listener
-// closes with the cluster.
-func (c *Cluster) ServeCatchup(handler simnet.CatchupHandler) (string, error) {
-	return c.ServeCatchupOn("127.0.0.1:0", handler)
-}
-
-// ServeCatchupOn is ServeCatchup at a fixed listen address — the daemon
-// topology, where peers must know the catch-up endpoint before this
-// process exists (a derived port, not an ephemeral one).
-func (c *Cluster) ServeCatchupOn(addr string, handler simnet.CatchupHandler) (string, error) {
+// closes with the cluster. A daemon passes a fixed (derived) port, since
+// peers must know its catch-up endpoint before this process exists;
+// "127.0.0.1:0" picks an ephemeral one.
+func (c *Cluster) ServeCatchup(addr string, handler simnet.CatchupHandler) (string, error) {
 	select {
 	case <-c.closing:
 		return "", errors.New("netrun: cluster closing")

@@ -48,7 +48,7 @@ const (
 	// the decision log's capacity.
 	MaxSeq = 1<<tagSeqBits - 1
 	// MaxAttempt is the largest instance attempt; reproposals stop bumping
-	// there (the leader's instance timeout is the backstop beyond it).
+	// there (the owner's instance timeout is the backstop beyond it).
 	MaxAttempt = 1<<(32-tagSeqBits) - 1
 )
 

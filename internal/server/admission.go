@@ -197,7 +197,7 @@ func (a *admission) inflightCount() int {
 }
 
 // abandonInflight claims every inflight batch at once — the
-// shutdown-abort path, when the replica failed and commits will never
+// shutdown-abort path, when the engine failed and commits will never
 // arrive.
 func (a *admission) abandonInflight() []*pending {
 	a.mu.Lock()

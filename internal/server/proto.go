@@ -64,7 +64,7 @@ const (
 	// CodeStaleEpoch: the peer's configuration epoch is older than ours —
 	// a misconfigured or ancient daemon that must not rejoin the set.
 	CodeStaleEpoch
-	// CodeFailed: the replica failed (instance timeout, store error).
+	// CodeFailed: the engine failed (instance timeout, store error).
 	CodeFailed
 )
 

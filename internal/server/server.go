@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -46,12 +47,18 @@ type Config struct {
 	// to 1 (every correct node learns the proposed batch digest).
 	CorruptFrac float64
 	KnowFrac    float64
-	// CommitFraction is the local-decider commit threshold (default: one
-	// certified local decision; see ReplicaConfig.CommitFraction).
+	// CommitFraction is the fraction of this daemon's correct nodes that
+	// must decide before it commits locally. The default (zero) is one
+	// certified decision: it already carries the poll quorum certificate,
+	// and the randomized protocol only guarantees almost-everywhere
+	// decisions — at small n a daemon that waits for all of its nodes
+	// stalls on every per-node wedge. Catch-up repair covers a daemon
+	// whose nodes all wedged.
 	CommitFraction float64
 	// InstanceTimeout fails the leader on a stuck head instance
 	// (default 30s); ReproposeAfter re-runs a stalled head instance with a
-	// bumped attempt well before that (default 2s).
+	// bumped attempt well before that (default 2s). Followers never time
+	// out: they repair from peers.
 	InstanceTimeout time.Duration
 	ReproposeAfter  time.Duration
 	// SyncWindow is the WAL group-commit window (default 2ms).
@@ -146,23 +153,24 @@ func layoutCluster(bases []string, k int) (clusterLayout, error) {
 	return lay, nil
 }
 
-// Daemon is one running balogd process: a replica (k protocol nodes +
-// WAL + repair), the client/admin listener with admission control, the
-// membership join loop, the metrics endpoint and the status ticker.
+// Daemon is one running balogd process: a partially hosted log engine
+// (k protocol nodes + WAL + repair), the client/admin listener with
+// admission control, the membership join loop, the metrics endpoint and
+// the status ticker.
 type Daemon struct {
 	cfg  Config
 	lay  clusterLayout
 	logf func(string, ...any)
 
 	st  *store.Store
-	rep *Replica
+	eng *pipeline.Engine
 	adm *admission
 	mem *membership
 
-	leader     bool
-	clientLn   net.Listener
-	httpLn     net.Listener
-	httpSrv    *http.Server
+	leader   bool
+	clientLn net.Listener
+	httpLn   net.Listener
+	httpSrv  *http.Server
 
 	reg        *metrics.Registry
 	ctrAppends *metrics.Counter
@@ -185,8 +193,9 @@ type Daemon struct {
 }
 
 // New assembles a daemon: opens (and, when peers are up, catches up) the
-// WAL, builds the partially hosted replica and binds the client and
-// metrics listeners. The daemon is inert until Start.
+// WAL, builds the partially hosted engine, binds its mesh and catch-up
+// listeners and the client and metrics listeners. The daemon is inert
+// until Start.
 func New(cfg Config) (*Daemon, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -215,27 +224,26 @@ func New(cfg Config) (*Daemon, error) {
 
 	// Startup catch-up: close as much of the committed gap as any live
 	// peer can serve before joining the mesh. Best-effort — at cluster
-	// boot no peer is up yet, and the replica's repair loop covers
+	// boot no peer is up yet, and the engine's repair loop covers
 	// whatever is still missing once traffic flows.
 	peers := d.peerCatchupAddrs()
 	d.catchUpFromPeers(peers)
 
 	hosted := make([]bool, len(lay.nodeAddrs))
-	base := cfg.Daemon * cfg.PerDaemon
 	for i := 0; i < cfg.PerDaemon; i++ {
-		hosted[base+i] = true
+		hosted[cfg.Daemon*cfg.PerDaemon+i] = true
 	}
-	rep, err := NewReplica(ReplicaConfig{
-		Nodes:           len(cfg.ClusterAddrs) * cfg.PerDaemon,
-		Daemons:         len(cfg.ClusterAddrs),
-		Daemon:          cfg.Daemon,
-		PerDaemon:       cfg.PerDaemon,
-		Leader:          d.leader,
+	commitFrac := cfg.CommitFraction
+	if commitFrac == 0 {
+		commitFrac = math.SmallestNonzeroFloat64 // one certified decision
+	}
+	eng, err := pipeline.New(pipeline.Config{
+		N:               len(lay.nodeAddrs),
 		Seed:            cfg.Seed,
 		CorruptFrac:     cfg.CorruptFrac,
 		KnowFrac:        cfg.KnowFrac,
 		Depth:           cfg.Depth,
-		CommitFraction:  cfg.CommitFraction,
+		CommitFraction:  commitFrac,
 		InstanceTimeout: cfg.InstanceTimeout,
 		ReproposeAfter:  cfg.ReproposeAfter,
 		Store:           st,
@@ -251,11 +259,14 @@ func New(cfg Config) (*Daemon, error) {
 		StallAfter:  cfg.StallAfter,
 		OnCommit:    d.onCommit,
 	})
+	if err == nil {
+		err = eng.Listen()
+	}
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	d.rep = rep
+	d.eng = eng
 
 	d.clientLn, err = net.Listen("tcp", lay.clientAddrs[cfg.Daemon])
 	if err == nil {
@@ -265,7 +276,7 @@ func New(cfg Config) (*Daemon, error) {
 		if d.clientLn != nil {
 			d.clientLn.Close()
 		}
-		rep.Abort()
+		eng.Abort()
 		st.Close()
 		return nil, err
 	}
@@ -277,7 +288,7 @@ func New(cfg Config) (*Daemon, error) {
 		_ = d.reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if err := d.rep.Err(); err != nil {
+		if err := d.eng.Err(); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -302,19 +313,10 @@ func (d *Daemon) peerCatchupAddrs() []string {
 func (d *Daemon) catchUpFromPeers(peers []string) {
 	for _, peer := range peers {
 		enc, err := netrun.FetchCatchup(peer, d.st.Frontier(), time.Second)
-		if err != nil || len(enc) == 0 {
+		if err != nil {
 			continue
 		}
-		recs := make([]store.Record, 0, len(enc))
-		next := d.st.Frontier()
-		for _, e := range enc {
-			rec, err := store.DecodeRecord(e)
-			if err != nil || rec.Seq != next {
-				break
-			}
-			recs = append(recs, rec)
-			next++
-		}
+		recs, _ := store.DecodeRun(d.st.Frontier(), enc) // keep the good prefix
 		if len(recs) == 0 {
 			continue
 		}
@@ -342,29 +344,29 @@ func (d *Daemon) registerMetrics() {
 		return float64(d.adm.sessionCount())
 	}, label...)
 	d.reg.GaugeFunc("fastba_reproposals", "Stalled head instances re-opened with a bumped attempt.", func() float64 {
-		return float64(d.rep.Reproposed())
+		return float64(d.eng.Reproposed())
 	}, label...)
-	metrics.RegisterNetStats(d.reg, d.rep.NetStats, label...)
-	d.gCommit.Set(float64(d.rep.Frontier()))
+	metrics.RegisterNetStats(d.reg, d.eng.NetStats, label...)
+	d.gCommit.Set(float64(d.eng.Frontier()))
 	d.gEpoch.Set(float64(d.mem.Epoch()))
 }
 
-// Start launches the replica and every daemon loop.
+// Start launches the engine and every daemon loop.
 func (d *Daemon) Start() {
-	d.rep.Start()
+	_ = d.eng.StartTCP() // New bound the transport; starting it cannot fail
 	d.batcherWG.Add(1)
 	go d.batchLoop()
 	d.wg.Add(5)
 	go d.acceptLoop()
 	go d.joinLoop()
 	go d.statusLoop()
-	go d.watchReplica()
+	go d.watchEngine()
 	go func() {
 		defer d.wg.Done()
 		_ = d.httpSrv.Serve(d.httpLn)
 	}()
 	d.logf("balogd[%d]: up — client %s metrics http://%s/metrics leader=%v epoch=%d frontier=%d",
-		d.cfg.Daemon, d.ClientAddr(), d.MetricsAddr(), d.leader, d.mem.Epoch(), d.rep.Frontier())
+		d.cfg.Daemon, d.ClientAddr(), d.MetricsAddr(), d.leader, d.mem.Epoch(), d.eng.Frontier())
 }
 
 // ClientAddr returns the bound client/admin address; MetricsAddr the
@@ -373,22 +375,22 @@ func (d *Daemon) ClientAddr() string  { return d.clientLn.Addr().String() }
 func (d *Daemon) MetricsAddr() string { return d.httpLn.Addr().String() }
 func (d *Daemon) LeaderAddr() string  { return d.lay.clientAddrs[0] }
 
-// Frontier returns the committed frontier; Err the replica's fatal
+// Frontier returns the committed frontier; Err the engine's fatal
 // error, if any.
-func (d *Daemon) Frontier() uint64 { return d.rep.Frontier() }
-func (d *Daemon) Err() error       { return d.rep.Err() }
+func (d *Daemon) Frontier() uint64 { return d.eng.Frontier() }
+func (d *Daemon) Err() error       { return d.eng.Err() }
 
-// Failed closes when the replica can no longer make progress (instance
+// Failed closes when the engine can no longer make progress (instance
 // timeout, store failure). The process should exit nonzero so a
 // supervisor restarts it.
-func (d *Daemon) Failed() <-chan struct{} { return d.rep.Failed() }
+func (d *Daemon) Failed() <-chan struct{} { return d.eng.Failed() }
 
-// onCommit is the replica's commit observer: it updates the metrics and
+// onCommit is the engine's commit observer: it updates the metrics and
 // acks every client append folded into the committed instance.
-func (d *Daemon) onCommit(e pipeline.Entry, repaired bool) {
+func (d *Daemon) onCommit(e pipeline.Entry) {
 	d.ctrCommits.Inc()
 	d.gCommit.Set(float64(e.Seq + 1))
-	if repaired {
+	if e.Repaired {
 		d.ctrRepair.Inc()
 	}
 	for _, p := range d.adm.resolve(e.Seq) {
@@ -398,21 +400,21 @@ func (d *Daemon) onCommit(e pipeline.Entry, repaired bool) {
 	}
 }
 
-// watchReplica nacks every inflight append when the replica dies: their
+// watchEngine nacks every inflight append when the engine dies: their
 // instances will never commit, so without this the clients wait forever.
 // New enqueues start failing with CodeShutdown (the admission gate
 // closes), and handleConn keeps serving Status/Join so peers still see
 // the daemon's corpse report its epoch until the process exits.
-func (d *Daemon) watchReplica() {
+func (d *Daemon) watchEngine() {
 	defer d.wg.Done()
 	select {
 	case <-d.done:
 		return
-	case <-d.rep.Failed():
+	case <-d.eng.Failed():
 	}
-	d.logf("balogd[%d]: replica failed: %v", d.cfg.Daemon, d.rep.Err())
+	d.logf("balogd[%d]: engine failed: %v", d.cfg.Daemon, d.eng.Err())
 	d.adm.close()
-	// The batcher unblocks (Append fails fast once the replica is failed)
+	// The batcher unblocks (Append fails fast once the engine is failed)
 	// and nacks what it still held; wait for it so nothing is tracked
 	// after the abandon sweep below.
 	d.batcherWG.Wait()
@@ -434,10 +436,10 @@ func (d *Daemon) batchLoop() {
 		for i, p := range batch {
 			payloads[i] = p.payload
 		}
-		seq, err := d.rep.Append(context.Background(), payloads)
+		seq, err := d.eng.Append(context.Background(), payloads)
 		if err != nil {
 			code := CodeFailed
-			if errors.Is(err, ErrReplicaClosed) || errors.Is(err, context.Canceled) {
+			if errors.Is(err, pipeline.ErrClosed) || errors.Is(err, context.Canceled) {
 				code = CodeShutdown
 			}
 			for _, p := range batch {
@@ -498,7 +500,7 @@ func (d *Daemon) handleConn(conn net.Conn) {
 				Epoch:      d.mem.Epoch(),
 				Leader:     d.leader,
 				LeaderAddr: d.LeaderAddr(),
-				Frontier:   d.rep.Frontier(),
+				Frontier:   d.eng.Frontier(),
 			})
 		case Append:
 			if !d.leader {
@@ -519,9 +521,9 @@ func (d *Daemon) handleConn(conn net.Conn) {
 				Node:       uint32(d.cfg.Daemon),
 				Epoch:      d.mem.Epoch(),
 				Leader:     d.leader,
-				Frontier:   d.rep.Frontier(),
-				Recovered:  uint64(d.rep.Recovered()),
-				Repaired:   uint64(d.rep.Repaired()),
+				Frontier:   d.eng.Frontier(),
+				Recovered:  uint64(d.eng.Recovered()),
+				Repaired:   uint64(d.eng.Repaired()),
 				PeersAlive: uint32(d.mem.Alive()),
 				Sessions:   uint32(d.adm.sessionCount()),
 			})
@@ -593,16 +595,16 @@ func (d *Daemon) statusLoop() {
 	defer d.wg.Done()
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
-	last := d.rep.Frontier()
+	last := d.eng.Frontier()
 	for {
 		select {
 		case <-d.done:
 			return
 		case <-ticker.C:
-			fr := d.rep.Frontier()
+			fr := d.eng.Frontier()
 			d.logf("balogd[%d]: commit=%d tps=%d epoch=%d peers=%d sessions=%d shed=%d repaired=%d",
 				d.cfg.Daemon, fr, fr-last, d.mem.Epoch(), d.mem.Alive(),
-				d.adm.sessionCount(), d.ctrShed.Value(), d.rep.Repaired())
+				d.adm.sessionCount(), d.ctrShed.Value(), d.eng.Repaired())
 			last = fr
 		}
 	}
@@ -611,7 +613,8 @@ func (d *Daemon) statusLoop() {
 // Shutdown drains the daemon gracefully, in the no-lost-acks order:
 // stop admitting (new appends get CodeShutdown) → drain the batcher →
 // wait for every inflight instance's commit acks to be written → close
-// client connections → tear the replica down → close the WAL last (its
+// client connections → close the engine (it drains the instances it owns
+// and abandons the ones it only learned) → close the WAL last (its
 // close performs the final group-commit flush, so anything acked is on
 // disk before the process exits).
 func (d *Daemon) Shutdown(ctx context.Context) error {
@@ -629,7 +632,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				break drain
-			case <-d.rep.Failed():
+			case <-d.eng.Failed():
 				break drain
 			case <-tick.C:
 			}
@@ -640,14 +643,14 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		}
 
 		d.closeConns()
-		repErr := d.rep.Close()
-		if errors.Is(repErr, context.Canceled) {
-			repErr = nil
+		engErr := d.eng.Close()
+		if errors.Is(engErr, context.Canceled) {
+			engErr = nil
 		}
 		d.httpSrv.Close()
 		stErr := d.st.Close()
 		d.wg.Wait()
-		d.shutdownErr = errors.Join(repErr, stErr)
+		d.shutdownErr = errors.Join(engErr, stErr)
 		d.logf("balogd[%d]: down (frontier %d)", d.cfg.Daemon, d.st.Frontier())
 	})
 	return d.shutdownErr
@@ -672,7 +675,7 @@ func (d *Daemon) Kill() {
 		d.clientLn.Close()
 		d.adm.close()
 		d.closeConns()
-		d.rep.Abort()
+		d.eng.Abort()
 		d.httpSrv.Close()
 		d.st.Crash()
 		d.batcherWG.Wait()

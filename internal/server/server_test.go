@@ -12,19 +12,22 @@ import (
 	"time"
 
 	"github.com/fastba/fastba/internal/netrun"
+	"github.com/fastba/fastba/internal/pipeline"
 	"github.com/fastba/fastba/internal/store"
 )
 
 // reserveBases probes for daemons contiguous free port blocks of k+3
 // ports each and returns the base addresses. The listeners are closed
 // before returning, so a parallel process could steal a port — the probe
-// retries across the ephemeral range to make that unlikely.
+// draws from below the kernel's ephemeral range (32768+ on Linux), where
+// no outgoing connection takes a local port, so a daemon restarted on
+// its block does not collide with one.
 func reserveBases(t *testing.T, daemons, k int) []string {
 	t.Helper()
 	block := k + 3
 	rnd := rand.New(rand.NewSource(time.Now().UnixNano()))
 	for attempt := 0; attempt < 50; attempt++ {
-		base := 21000 + rnd.Intn(30000)
+		base := 10000 + rnd.Intn(22000)
 		var lns []net.Listener
 		ok := true
 		for p := base; p < base+daemons*block; p++ {
@@ -51,15 +54,20 @@ func reserveBases(t *testing.T, daemons, k int) []string {
 }
 
 // testCluster starts an in-process D-daemon cluster (daemon 0 leads) and
-// returns the running daemons plus their store directories.
-func testCluster(t *testing.T, daemons, k int) ([]*Daemon, []string, []string) {
+// returns the running daemons plus their store directories. tweaks adjust
+// every daemon's configuration.
+func testCluster(t *testing.T, daemons, k int, tweaks ...func(*Config)) ([]*Daemon, []string, []string) {
 	t.Helper()
 	bases := reserveBases(t, daemons, k)
 	dirs := make([]string, daemons)
 	ds := make([]*Daemon, daemons)
 	for i := range ds {
 		dirs[i] = t.TempDir()
-		d, err := New(testConfig(bases, dirs, i, k))
+		cfg := testConfig(bases, dirs, i, k)
+		for _, tweak := range tweaks {
+			tweak(&cfg)
+		}
+		d, err := New(cfg)
 		if err != nil {
 			t.Fatalf("daemon %d: %v", i, err)
 		}
@@ -138,7 +146,7 @@ func waitFrontier(t *testing.T, d *Daemon, want uint64, within time.Duration) {
 	deadline := time.Now().Add(within)
 	for d.Frontier() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon %d frontier %d, want ≥ %d (replica err: %v)",
+			t.Fatalf("daemon %d frontier %d, want ≥ %d (engine err: %v)",
 				d.cfg.Daemon, d.Frontier(), want, d.Err())
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -174,9 +182,9 @@ func canonicalPrefix(t *testing.T, catchupAddr string, n uint64) []string {
 
 func checkAgreement(t *testing.T, ds []*Daemon, upTo uint64) {
 	t.Helper()
-	want := canonicalPrefix(t, ds[0].rep.CatchupAddr(), upTo)
+	want := canonicalPrefix(t, ds[0].eng.CatchupAddr(), upTo)
 	for _, d := range ds[1:] {
-		got := canonicalPrefix(t, d.rep.CatchupAddr(), upTo)
+		got := canonicalPrefix(t, d.eng.CatchupAddr(), upTo)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("daemon %d record %d diverges from daemon 0", d.cfg.Daemon, i)
@@ -194,13 +202,7 @@ func TestClusterCommitsAndConverges(t *testing.T) {
 	}
 	ds, _, _ := testCluster(t, 4, 2)
 
-	seqs := appendAll(t, ds[0].ClientAddr(), 12, "conv")
-	var top uint64
-	for _, seq := range seqs {
-		if seq >= top {
-			top = seq + 1
-		}
-	}
+	top := topSeq(appendAll(t, ds[0].ClientAddr(), 12, "conv"))
 	for _, d := range ds {
 		waitFrontier(t, d, top, 30*time.Second)
 	}
@@ -251,6 +253,93 @@ func httpGet(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(body)
+}
+
+// topSeq returns the frontier that covers every acked seq.
+func topSeq(seqs map[uint64]uint64) uint64 {
+	var top uint64
+	for _, seq := range seqs {
+		top = max(top, seq+1)
+	}
+	return top
+}
+
+// TestClusterCorrectCountsHostedCorrect: with a corrupt node hosted on one
+// daemon, each daemon's locally committed entries report its own correct
+// hosted nodes as Correct, and never more deciders than that.
+func TestClusterCorrectCountsHostedCorrect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-daemon TCP cluster")
+	}
+	const daemons, k, frac = 4, 2, 0.2
+	ds, _, _ := testCluster(t, daemons, k, func(c *Config) { c.CorruptFrac = frac })
+	top := topSeq(appendAll(t, ds[0].ClientAddr(), 12, "corrupt"))
+	corrupt := pipeline.CorruptSet(ds[0].cfg.Seed, daemons*k, frac)
+	short := false
+	for i, d := range ds {
+		waitFrontier(t, d, top, 30*time.Second)
+		hostedCorrect := 0
+		for id := i * k; id < (i+1)*k; id++ {
+			if !corrupt[id] {
+				hostedCorrect++
+			}
+		}
+		short = short || hostedCorrect < k
+		if got := d.eng.Correct(); got != hostedCorrect {
+			t.Errorf("daemon %d: engine counts %d correct hosted nodes, want %d", i, got, hostedCorrect)
+		}
+		for _, e := range d.eng.Entries() {
+			if e.Repaired {
+				continue // a peer's record carries the peer's counts
+			}
+			if e.Correct != hostedCorrect || e.Deciders < 1 || e.Deciders > e.Correct {
+				t.Errorf("daemon %d seq %d: %d deciders of Correct = %d, want 1..%d of %d",
+					i, e.Seq, e.Deciders, e.Correct, hostedCorrect, hostedCorrect)
+			}
+		}
+	}
+	if !short {
+		t.Fatal("no daemon hosts a corrupt node; the test proves nothing")
+	}
+}
+
+// TestShutdownOrders: once traffic has quiesced, every daemon shuts down
+// cleanly and well inside the instance timeout whether the leader leaves
+// first or last — a follower abandons the instances it only learned
+// instead of waiting for a departed leader to drive them.
+func TestShutdownOrders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-daemon TCP cluster")
+	}
+	for _, order := range []struct {
+		name string
+		idx  []int
+	}{
+		{"leader-first", []int{0, 1, 2, 3}},
+		{"leader-last", []int{1, 2, 3, 0}},
+	} {
+		t.Run(order.name, func(t *testing.T) {
+			ds, _, _ := testCluster(t, 4, 2)
+			top := topSeq(appendAll(t, ds[0].ClientAddr(), 8, order.name))
+			for _, d := range ds {
+				waitFrontier(t, d, top, 30*time.Second)
+			}
+			timeout := ds[0].cfg.InstanceTimeout
+			for _, i := range order.idx {
+				ctx, cancel := context.WithTimeout(context.Background(), timeout)
+				start := time.Now()
+				err := ds[i].Shutdown(ctx)
+				took := time.Since(start)
+				cancel()
+				if err != nil {
+					t.Errorf("daemon %d shutdown: %v", i, err)
+				}
+				if took > timeout/4 {
+					t.Errorf("daemon %d shutdown took %v, want well inside the %v instance timeout", i, took, timeout)
+				}
+			}
+		})
+	}
 }
 
 // TestClusterKillRestart: killing one daemon (25% of the population,
@@ -315,7 +404,7 @@ func TestClusterKillRestart(t *testing.T) {
 	// or reproposal will ever mention them again — so only the runtime
 	// repair loop can close that gap. Hold Start until the leader is
 	// demonstrably past the fetched prefix so the gap really exists.
-	preFetch := re.rep.Frontier()
+	preFetch := re.eng.Frontier()
 	for deadline := time.Now().Add(30 * time.Second); ds[0].Frontier() < preFetch+3; {
 		if time.Now().After(deadline) {
 			t.Fatalf("leader never advanced past the restart's fetched prefix %d", preFetch)
@@ -325,7 +414,7 @@ func TestClusterKillRestart(t *testing.T) {
 	re.Start()
 	ds[3] = re
 	t.Cleanup(re.Kill)
-	if got := re.rep.Recovered(); got < int(preKill) {
+	if got := re.eng.Recovered(); got < int(preKill) {
 		t.Errorf("restarted daemon recovered %d records, want ≥ the pre-kill frontier %d", got, preKill)
 	}
 
@@ -339,11 +428,11 @@ func TestClusterKillRestart(t *testing.T) {
 		waitFrontier(t, d, top, 60*time.Second)
 	}
 	checkAgreement(t, ds, top)
-	if re.rep.Repaired() == 0 {
+	if re.eng.Repaired() == 0 {
 		t.Error("restarted daemon repaired nothing through catch-up")
 	}
-	if re.rep.Recovered() <= int(preKill) {
-		t.Errorf("startup catch-up transferred nothing: recovered %d, pre-kill frontier %d", re.rep.Recovered(), preKill)
+	if re.eng.Recovered() <= int(preKill) {
+		t.Errorf("startup catch-up transferred nothing: recovered %d, pre-kill frontier %d", re.eng.Recovered(), preKill)
 	}
 }
 

@@ -3,13 +3,13 @@ package simnet
 // LogOpen is the instance-open broadcast of the multi-process log daemon
 // (internal/server): the leader daemon assigns a sequence number to a
 // client batch and ships (seq, payloads) to one representative node on
-// every peer daemon, which re-derives the instance's value digest and
-// per-node initial beliefs locally (the same seeded derivations the
-// in-process pipeline engine uses) and injects MsgOpen into its hosted
-// protocol nodes. It is transport-level control traffic — consumed by the
-// daemon's node shim, never delivered to a protocol node — but it travels
-// as an ordinary wire frame (internal/wire) so the supervised-link layer
-// carries, coalesces and meters it like everything else.
+// every peer daemon, whose log engine (internal/pipeline) re-derives the
+// instance's value digest and per-node initial beliefs locally and
+// injects MsgOpen into its hosted protocol nodes. It is transport-level
+// control traffic — consumed by the engine, never delivered to a protocol
+// node — but it travels as an ordinary wire frame (internal/wire) so the
+// supervised-link layer carries, coalesces and meters it like everything
+// else.
 type LogOpen struct {
 	// Seq is the assigned instance sequence number.
 	Seq uint64

@@ -67,6 +67,26 @@ func AppendRecord(buf []byte, r Record) []byte {
 	return buf
 }
 
+// DecodeRun decodes fetched catch-up records and keeps the contiguous run
+// that starts at seq from. It returns that good prefix plus the error that
+// ended it early — a record that does not decode, or one that does not
+// carry the next expected seq — or nil when every record extended the run.
+func DecodeRun(from uint64, encoded [][]byte) ([]Record, error) {
+	recs := make([]Record, 0, len(encoded))
+	for _, b := range encoded {
+		r, err := DecodeRecord(b)
+		if err != nil {
+			return recs, fmt.Errorf("store: catch-up record %d: %w", from, err)
+		}
+		if r.Seq != from {
+			return recs, fmt.Errorf("store: catch-up record has seq %d, expected %d", r.Seq, from)
+		}
+		recs = append(recs, r)
+		from++
+	}
+	return recs, nil
+}
+
 // DecodeRecord reverses AppendRecord. The returned record owns its memory:
 // payload bytes are copied out of buf, so callers may recycle the frame
 // buffer.

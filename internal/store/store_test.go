@@ -438,6 +438,52 @@ func TestDecodeRecordRejectsTruncations(t *testing.T) {
 	}
 }
 
+// TestDecodeRun: the catch-up decoder keeps the contiguous run from the
+// requested seq and reports what ended it — a gap, a corrupt record, a
+// wrong start seq.
+func TestDecodeRun(t *testing.T) {
+	enc := func(seqs ...uint64) [][]byte {
+		out := make([][]byte, len(seqs))
+		for i, seq := range seqs {
+			out[i] = AppendRecord(nil, testRecord(seq))
+		}
+		return out
+	}
+	corrupt := enc(5, 6, 7)
+	corrupt[1] = corrupt[1][:6]
+	for _, tc := range []struct {
+		name    string
+		from    uint64
+		encoded [][]byte
+		keep    int
+		errHas  string
+	}{
+		{"contiguous", 5, enc(5, 6, 7), 3, ""},
+		{"empty", 5, nil, 0, ""},
+		{"gap", 5, enc(5, 6, 8, 9), 2, "seq 8, expected 7"},
+		{"corrupt record", 5, corrupt, 1, "truncated"},
+		{"wrong start seq", 5, enc(6, 7), 0, "seq 6, expected 5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recs, err := DecodeRun(tc.from, tc.encoded)
+			if len(recs) != tc.keep {
+				t.Fatalf("kept %d records, want %d", len(recs), tc.keep)
+			}
+			for i, r := range recs {
+				if !recordsEqual(r, testRecord(tc.from+uint64(i))) {
+					t.Errorf("record %d differs from seq %d", i, tc.from+uint64(i))
+				}
+			}
+			switch {
+			case tc.errHas == "" && err != nil:
+				t.Errorf("unexpected error: %v", err)
+			case tc.errHas != "" && (err == nil || !strings.Contains(err.Error(), tc.errHas)):
+				t.Errorf("error %v, want one containing %q", err, tc.errHas)
+			}
+		})
+	}
+}
+
 // TestAppendBatch: the catch-up ingest path appends a contiguous run with
 // one fsync and the result survives reopen.
 func TestAppendBatch(t *testing.T) {

@@ -69,8 +69,8 @@ const (
 	// kindLogOpen is the multi-process daemon's instance-open broadcast
 	// (simnet.LogOpen): seq u64, attempt u32, then payloads in the
 	// CatchupResp layout
-	// (count u32, per-payload len u32 + bytes). Consumed by the daemon's
-	// node shim, never delivered to a protocol node.
+	// (count u32, per-payload len u32 + bytes). Consumed by the receiving
+	// log engine, never delivered to a protocol node.
 	kindLogOpen byte = 0x80
 )
 

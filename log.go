@@ -458,18 +458,9 @@ func (l *DecisionLog) catchupRecords(from uint64, max int) ([][]byte, bool) {
 // persists them.
 func catchUp(st *store.Store, cfg Config) error {
 	ingest := func(encoded [][]byte) error {
-		recs := make([]store.Record, 0, len(encoded))
-		next := st.Frontier()
-		for _, b := range encoded {
-			r, err := store.DecodeRecord(b)
-			if err != nil {
-				return fmt.Errorf("fastba: catch-up record: %w", err)
-			}
-			if r.Seq != next {
-				return fmt.Errorf("fastba: catch-up peer sent seq %d, expected %d", r.Seq, next)
-			}
-			recs = append(recs, r)
-			next++
+		recs, err := store.DecodeRun(st.Frontier(), encoded)
+		if err != nil {
+			return fmt.Errorf("fastba: %w", err)
 		}
 		return st.AppendBatch(recs)
 	}

@@ -122,6 +122,55 @@ func TestDecisionLogLosslessFaultsUnderLoad(t *testing.T) {
 	}
 }
 
+// TestDecisionLogReproposalRecoversWedgedHead: a partition that isolates
+// node 3 for its first 10 delivery-clock ticks eats every message it sends
+// during attempt 0 of the head instance, so with every correct node
+// required to decide, attempt 0 can never commit. The engine owns the
+// instance, so it re-opens it under fresh attempt-salted samplers after
+// ReproposeAfter (2s), by which time the partition has healed on every
+// clock: the head commits through attempt ≥ 1 with all 16 deciders, well
+// before the 10s instance timeout that would otherwise fail the log with
+// "required deciders".
+func TestDecisionLogReproposalRecoversWedgedHead(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cfg := NewConfig(16,
+		WithSeed(7),
+		WithKnowFrac(1),
+		WithCorruptFrac(0),
+		WithFaults(FaultPlan{Partitions: []Partition{{A: []int{3}, From: 0, Until: 10}}}),
+		WithLogInstanceTimeout(10*time.Second),
+	)
+	log, err := OpenLog(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const entries = 3
+	for _, batch := range conformancePayloads(7, entries) {
+		if _, err := log.Append(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	committed := log.Committed()
+	if len(committed) != entries {
+		t.Fatalf("committed %d entries, want %d", len(committed), entries)
+	}
+	if n := log.eng.Reproposed(); n == 0 {
+		t.Error("the wedged head committed without a reproposal")
+	}
+	for _, e := range committed {
+		if e.Deciders != e.Correct {
+			t.Errorf("seq %d committed with %d of %d deciders", e.Seq, e.Deciders, e.Correct)
+		}
+	}
+	if rep := CheckLogInvariants(committed, 1); !rep.OK() {
+		t.Errorf("oracle violations after reproposal: %s", rep)
+	}
+}
+
 // TestDecisionLogProposeBatching: client proposals batch into instances
 // and every ticket resolves with its entry.
 func TestDecisionLogProposeBatching(t *testing.T) {
