@@ -6,7 +6,6 @@ import (
 	"github.com/fastba/fastba/internal/bitstring"
 	"github.com/fastba/fastba/internal/intern"
 	"github.com/fastba/fastba/internal/prng"
-	"github.com/fastba/fastba/internal/sampler"
 	"github.com/fastba/fastba/internal/simnet"
 )
 
@@ -79,18 +78,12 @@ type Node struct {
 	// decision when Params.DeferredRelay is enabled.
 	relayDeferred []deferredPull
 
-	// hxSizes caches |distinct H(s, x)| per (x, s): quorum thresholds are
-	// consulted on every Fw1/Fw2 delivery but the distinct size of a quorum
-	// never changes within a run.
-	hxSizes map[xsID]int
+	// idx materialises the pull quorums H(s, x) and poll lists J(x, r)
+	// this node queries, once each per instance (see memberIndex): the
+	// Fw1/Fw2 membership checks, the quorum thresholds and the pull fan-out
+	// read it instead of re-evaluating the samplers.
+	idx memberIndex
 
-	// scratchJ and scratchH are reused sampling buffers for the fan-out hot
-	// paths (startPull, forwardPull): poll lists and pull quorums are sampled
-	// into node-owned scratch instead of a fresh slice per query. The node is
-	// single-threaded and sends only enqueue, so the buffers cannot be
-	// observed mid-iteration.
-	scratchJ []int
-	scratchH []int
 	// setPool recycles vouch Sets: fw1Vouches/fw2Vouches entries churn per
 	// (x, s, r[, w]) counter key and are deleted on majority, so recycling
 	// them keeps steady-state Fw1/Fw2 delivery free of slice growth.
@@ -189,7 +182,7 @@ func NewNode(id int, initial bitstring.String, params Params, smp *Samplers, rng
 		fw2Majority:   make(map[xsrID]bool),
 		polled:        make(map[xsID]bool),
 		answered:      make(map[xsID]bool),
-		hxSizes:       make(map[xsID]int),
+		idx:           newMemberIndex(params.N, smp),
 	}
 	// s_this always has a valid interned ID, even for the zero string, so
 	// the Algorithm 2 fast path can key state by it unconditionally.
@@ -204,9 +197,11 @@ func NewNode(id int, initial bitstring.String, params Params, smp *Samplers, rng
 // capacity. The node's identity and protocol geometry are unchanged;
 // initial, smp and rng take the role of NewNode's arguments — a reopened
 // instance passes attempt-salted samplers so a retry re-rolls the quorum
-// geometry, not just the poll labels. The decision-log pipeline calls this
-// between instances so a long log reuses one set of nodes instead of
-// reallocating per-instance protocol state (see BenchmarkLogInstanceReuse).
+// geometry, not just the poll labels, and the membership index built from
+// the previous samplers is dropped with the rest of the instance state. The
+// decision-log pipeline calls this between instances so a long log reuses
+// one set of nodes instead of reallocating per-instance protocol state (see
+// BenchmarkLogInstanceReuse).
 func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) {
 	n.smp = smp
 	n.rng = rng
@@ -247,7 +242,7 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 	clear(n.fw2Majority)
 	clear(n.polled)
 	clear(n.answered)
-	clear(n.hxSizes)
+	n.idx.reset()
 	n.answerCount = 0
 	n.deferred = n.deferred[:0]
 	n.beliefDeferred = n.beliefDeferred[:0]
@@ -255,17 +250,6 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 	n.stats = Stats{}
 
 	n.sthisID = n.strs.ID(initial)
-}
-
-// quorumInto samples Quorum(s, x) into dst, using the sampler's
-// allocation-free QuorumAppend when it offers one and falling back to a
-// copy of the allocating Quorum otherwise (third-party Quorum
-// implementations used by tests and ablations).
-func (n *Node) quorumInto(dst []int, q sampler.Quorum, s bitstring.String, x int) []int {
-	if aq, ok := q.(sampler.AppendQuorum); ok {
-		return aq.QuorumAppend(dst, s, x)
-	}
-	return append(dst, q.Quorum(s, x)...)
 }
 
 // getSet takes a vouch set from the node-local free list (or allocates).
@@ -450,14 +434,12 @@ func (n *Node) startPull(ctx simnet.Context, sid intern.ID, s bitstring.String) 
 	st.label = r
 	n.stats.PullsStarted++
 	var poll simnet.Message = MsgPoll{S: s, R: r}
-	n.scratchJ = n.smp.J.ListAppend(n.scratchJ[:0], n.id, r)
-	for _, w := range n.scratchJ {
-		ctx.Send(w, poll)
+	for _, w := range n.idx.list(n.idx.j(n.smp.J, n.id, r)) {
+		ctx.Send(int(w), poll)
 	}
 	var pull simnet.Message = MsgPull{S: s, R: r}
-	n.scratchH = n.quorumInto(n.scratchH[:0], n.smp.H, s, n.id)
-	for _, y := range distinct(n.scratchH) {
-		ctx.Send(y, pull)
+	for _, y := range n.idx.list(n.idx.h(n.smp.H, sid, s, n.id)) {
+		ctx.Send(int(y), pull)
 	}
 }
 
@@ -490,15 +472,15 @@ func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring
 		return
 	}
 	n.pullForwarded[k] = true
-	n.scratchJ = n.smp.J.ListAppend(n.scratchJ[:0], x, r)
-	for _, w := range n.scratchJ {
+	// Index entries never move, so the poll list stays valid while the
+	// loop materialises quorums.
+	for _, w := range n.idx.list(n.idx.j(n.smp.J, x, r)) {
 		// Box the Fw1 once per poll-list member, not once per quorum member:
 		// this double loop dominated the allocation profile of sustained-load
 		// runs (one interface conversion per Send).
-		var fw simnet.Message = MsgFw1{X: x, S: s, R: r, W: w}
-		n.scratchH = n.quorumInto(n.scratchH[:0], n.smp.H, s, w)
-		for _, z := range distinct(n.scratchH) {
-			ctx.Send(z, fw)
+		var fw simnet.Message = MsgFw1{X: x, S: s, R: r, W: int(w)}
+		for _, z := range n.idx.list(n.idx.h(n.smp.H, sid, s, int(w))) {
+			ctx.Send(int(z), fw)
 		}
 	}
 }
@@ -506,19 +488,20 @@ func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring
 // onFw1 is the second handler of Algorithm 2: z ∈ H(s, w) sends Fw2 to w
 // once a strict majority of H(s, x) has vouched for x's request.
 func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
-	if !m.S.Equal(n.sthis) {
-		return
-	}
-	if !n.smp.H.Contains(m.S, m.W, n.id) { // this ∈ H(s, w)
-		return
-	}
-	if !n.smp.H.Contains(m.S, m.X, from) { // y ∈ H(s, x)
-		return
-	}
-	if !n.smp.J.Contains(m.X, m.R, m.W) { // w ∈ J(x, r)
+	if !m.S.Equal(n.sthis) || !n.inDomain(m.X) || !n.inDomain(m.W) {
 		return
 	}
 	sid := n.sthisID
+	if !n.idx.has(n.idx.h(n.smp.H, sid, m.S, m.W), n.id) { // this ∈ H(s, w)
+		return
+	}
+	hx := n.idx.h(n.smp.H, sid, m.S, m.X)
+	if !n.idx.has(hx, from) { // y ∈ H(s, x)
+		return
+	}
+	if !n.idx.has(n.idx.j(n.smp.J, m.X, m.R), m.W) { // w ∈ J(x, r)
+		return
+	}
 	doneKey := xswID{x: m.X, s: sid, w: m.W}
 	if n.fw1Done[doneKey] {
 		return
@@ -532,7 +515,7 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 	if !set.Add(from) {
 		return // duplicate voucher: the count did not change
 	}
-	if 2*set.Len() > n.hQuorumSize(sid, m.S, m.X) {
+	if 2*set.Len() > n.idx.size(hx) {
 		n.fw1Done[doneKey] = true // forward only once
 		delete(n.fw1Vouches, vk)
 		n.putSet(set)
@@ -548,16 +531,25 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 // in H(s, this) is what authenticates the request. Whether this node may
 // *reply* is decided in maybeAnswer (reply conditions 2/3 of §3.1.2).
 func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
-	if m.S.Len() != n.params.StringBits {
+	if m.S.Len() != n.params.StringBits || !n.inDomain(m.X) {
 		return
 	}
-	if !n.smp.J.Contains(m.X, m.R, n.id) { // this ∈ J(x, r)
+	if !n.idx.has(n.idx.j(n.smp.J, m.X, m.R), n.id) { // this ∈ J(x, r)
 		return
 	}
-	if !n.smp.H.Contains(m.S, n.id, from) { // z ∈ H(s, this)
+	// z ∈ H(s, this). A string this node has not interned yet is checked
+	// against the sampler and interned only once the sender is validated.
+	sid := n.strs.Lookup(m.S)
+	if sid == intern.None {
+		if !n.smp.H.Contains(m.S, n.id, from) {
+			return
+		}
+		sid = n.strs.ID(m.S)
+	}
+	hthis := n.idx.h(n.smp.H, sid, m.S, n.id)
+	if !n.idx.has(hthis, from) {
 		return
 	}
-	sid := n.strs.ID(m.S)
 	k := xsrID{x: m.X, s: sid, r: m.R}
 	if n.fw2Majority[k] {
 		return
@@ -570,7 +562,7 @@ func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
 	if !set.Add(from) {
 		return // duplicate voucher: the count did not change
 	}
-	if 2*set.Len() <= n.hQuorumSize(sid, m.S, n.id) {
+	if 2*set.Len() <= n.idx.size(hthis) {
 		return
 	}
 	n.fw2Majority[k] = true
@@ -691,18 +683,10 @@ func (n *Node) decide(ctx simnet.Context, sid intern.ID, s bitstring.String) {
 	}
 }
 
-// hQuorumSize returns |distinct H(s, x)|, cached per (x, s): the threshold
-// denominators of Algorithms 2/3 are consulted on every Fw1/Fw2 delivery
-// and never change within a run.
-func (n *Node) hQuorumSize(sid intern.ID, s bitstring.String, x int) int {
-	k := xsID{x: x, s: sid}
-	if v, ok := n.hxSizes[k]; ok {
-		return v
-	}
-	v := countDistinct(n.smp.H.Quorum(s, x))
-	n.hxSizes[k] = v
-	return v
-}
+// inDomain reports whether a node ID carried in a message body lies in
+// [0, n). Senders are authenticated by the runtime, but the X and W fields
+// are whatever the sender wrote.
+func (n *Node) inDomain(x int) bool { return uint(x) < uint(n.params.N) }
 
 // distinct returns the distinct elements of ids, preserving first-seen
 // order. Quorums built from unions of permutations may contain the same

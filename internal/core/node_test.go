@@ -512,6 +512,25 @@ func TestFw2MalformedStringIgnored(t *testing.T) {
 	}
 }
 
+// TestFw1Fw2RejectOutOfDomainIDs: the X and W fields are written by the
+// sender, so a Byzantine peer can put any integer there. Such messages are
+// dropped; they must neither panic the node (the samplers panic on IDs
+// outside [0, n)) nor create state.
+func TestFw1Fw2RejectOutOfDomainIDs(t *testing.T) {
+	p, smp, s := testSetup(t, 64)
+	z := newTestNode(4, s, p, smp)
+	z.Init(&fakeCtx{})
+	ctx := &fakeCtx{}
+	for _, bad := range []int{-1, p.N, 1 << 40} {
+		z.Deliver(ctx, 1, MsgFw1{X: bad, S: s, R: 3, W: 2})
+		z.Deliver(ctx, 1, MsgFw1{X: 2, S: s, R: 3, W: bad})
+		z.Deliver(ctx, 1, MsgFw2{X: bad, S: s, R: 3})
+	}
+	if len(ctx.sends) != 0 || len(z.fw1Vouches) != 0 || len(z.fw2Vouches) != 0 {
+		t.Fatalf("out-of-domain IDs produced %d sends and vouch state", len(ctx.sends))
+	}
+}
+
 func TestAnswersIgnoredAfterDecision(t *testing.T) {
 	p, smp, s := testSetup(t, 64)
 	const me = 9

@@ -34,8 +34,8 @@ func NewPerm(n int, key uint64) *Perm {
 }
 
 // MakePerm is NewPerm by value: callers that build a Perm per query (the
-// poll-list sampler, once per delivery on the protocol hot path) keep it
-// on the stack instead of allocating.
+// stateless samplers in internal/sampler) keep it on the stack instead of
+// allocating.
 func MakePerm(n int, key uint64) Perm {
 	if n <= 0 {
 		panic("prng: NewPerm with non-positive domain")

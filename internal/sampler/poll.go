@@ -73,13 +73,12 @@ func (p *Poll) Contains(x int, r uint64, w int) bool {
 	return false
 }
 
+// permFor returns the permutation behind J(x, r), rebuilt per query by
+// value (like PermQuorum's): it lives on the caller's stack, so queries
+// allocate nothing and the sampler keeps no per-label state under
+// adversarial label churn. Protocol nodes do not pay for the rebuild per
+// delivery: they query each (x, r) once per instance through their
+// membership index.
 func (p *Poll) permFor(x int, r uint64) prng.Perm {
-	// Poll lists are short-lived (one per pull request), so unlike
-	// PermQuorum there is no cache: the Perm is rebuilt per query — by
-	// value, so it lives on the caller's stack — which keeps memory flat
-	// under adversarial label churn AND the delivery hot path (J.Contains
-	// runs per Fw1/Fw2/Answer) allocation-free. This matters doubly for
-	// the decision log, where one shared sampler serves every instance of
-	// a long-lived run.
 	return prng.MakePerm(p.n, prng.Hash3(p.seed, uint64(x), r%p.labels))
 }

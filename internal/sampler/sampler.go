@@ -17,11 +17,18 @@
 // package's tests, mirroring the random-graph argument of §4.1). Inverse
 // queries ("which quorums do I sit in?"), needed by the Push phase, cost
 // O(d) permutation inversions.
+//
+// The samplers are stateless pure functions of their seed: every query
+// rebuilds the keyed permutations it needs, by value, so a sampler holds no
+// per-string memory however many strings a long-lived log presents, and
+// needs no lock however many goroutines share it. Callers that ask the same
+// question repeatedly cache the answer themselves: each protocol node keeps
+// a per-instance membership index of the quorums and poll lists it checks
+// (internal/core).
 package sampler
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/fastba/fastba/internal/bitstring"
 	"github.com/fastba/fastba/internal/prng"
@@ -31,7 +38,7 @@ import (
 // Implementations must be deterministic and safe for concurrent use.
 // Quorum and Inverse must return freshly allocated slices on every call:
 // callers own the result and may mutate it (the protocol core deduplicates
-// quorums in place on its delivery hot path).
+// inverse quorums in place).
 type Quorum interface {
 	// Quorum returns the quorum assigned to node x for string s.
 	// The result may contain duplicates only if the implementation is
@@ -60,13 +67,10 @@ type AppendQuorum interface {
 
 // PermQuorum is the permutation-based quorum sampler described in the
 // package comment. It realizes both I and H; the two instances are
-// domain-separated by their key tags.
+// domain-separated by their key tags. It is immutable after construction.
 type PermQuorum struct {
 	n, d int
 	seed uint64
-
-	mu    sync.RWMutex
-	perms map[uint64][]*prng.Perm // string hash -> d permutations
 }
 
 var _ Quorum = (*PermQuorum)(nil)
@@ -79,12 +83,7 @@ func NewPermQuorum(n, d int, seed uint64, tag string) *PermQuorum {
 	if n <= 0 || d <= 0 {
 		panic(fmt.Sprintf("sampler: invalid PermQuorum geometry n=%d d=%d", n, d))
 	}
-	return &PermQuorum{
-		n:     n,
-		d:     d,
-		seed:  prng.DeriveKey(seed, "sampler/"+tag, 0),
-		perms: make(map[uint64][]*prng.Perm),
-	}
+	return &PermQuorum{n: n, d: d, seed: prng.DeriveKey(seed, "sampler/"+tag, 0)}
 }
 
 // N returns the node-domain size.
@@ -100,7 +99,9 @@ func (q *PermQuorum) Quorum(s bitstring.String, x int) []int {
 
 // QuorumAppend appends Quorum(s, x) to dst (sampler.AppendQuorum).
 func (q *PermQuorum) QuorumAppend(dst []int, s bitstring.String, x int) []int {
-	for _, p := range q.permsFor(s) {
+	h := s.Hash64()
+	for j := 0; j < q.d; j++ {
+		p := q.perm(h, j)
 		dst = append(dst, p.Apply(x))
 	}
 	return dst
@@ -110,9 +111,10 @@ func (q *PermQuorum) QuorumAppend(dst []int, s bitstring.String, x int) []int {
 // contains y. Its length is always exactly d — the deterministic
 // no-overload guarantee of this construction.
 func (q *PermQuorum) Inverse(s bitstring.String, y int) []int {
-	ps := q.permsFor(s)
+	h := s.Hash64()
 	out := make([]int, q.d)
-	for j, p := range ps {
+	for j := range out {
+		p := q.perm(h, j)
 		out[j] = p.Invert(y)
 	}
 	return out
@@ -120,7 +122,9 @@ func (q *PermQuorum) Inverse(s bitstring.String, y int) []int {
 
 // Contains reports whether y ∈ Quorum(s, x) in O(d) time.
 func (q *PermQuorum) Contains(s bitstring.String, x, y int) bool {
-	for _, p := range q.permsFor(s) {
+	h := s.Hash64()
+	for j := 0; j < q.d; j++ {
+		p := q.perm(h, j)
 		if p.Apply(x) == y {
 			return true
 		}
@@ -128,28 +132,10 @@ func (q *PermQuorum) Contains(s bitstring.String, x, y int) bool {
 	return false
 }
 
-// permsFor returns (building and caching on first use) the d permutations
-// keyed by s. The cache is bounded by the number of distinct strings seen in
-// an execution, which Lemma 4 bounds by O(n).
-func (q *PermQuorum) permsFor(s bitstring.String) []*prng.Perm {
-	h := s.Hash64()
-	q.mu.RLock()
-	ps, ok := q.perms[h]
-	q.mu.RUnlock()
-	if ok {
-		return ps
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if ps, ok = q.perms[h]; ok {
-		return ps
-	}
-	ps = make([]*prng.Perm, q.d)
-	for j := range ps {
-		ps[j] = prng.NewPerm(q.n, prng.Hash3(q.seed, h, uint64(j)))
-	}
-	q.perms[h] = ps
-	return ps
+// perm returns σ_{s,j}, the j-th permutation keyed by the string hash h,
+// built by value on the caller's stack.
+func (q *PermQuorum) perm(h uint64, j int) prng.Perm {
+	return prng.MakePerm(q.n, prng.Hash3(q.seed, h, uint64(j)))
 }
 
 // HashQuorum is a naive sampler that draws each quorum member independently

@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -353,5 +354,60 @@ func BenchmarkPollList(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.List(i%4096, uint64(i))
+	}
+}
+
+// benchN and benchD are the fabric-log geometry (n = 24, DefaultParams'
+// d = 15): the size at which the protocol core queries the samplers
+// hardest per committed entry.
+const benchN, benchD = 24, 15
+
+// BenchmarkPermQuorumContains measures one H membership query,
+// y ∈ H(s, x), straight from the sampler (no membership index).
+func BenchmarkPermQuorumContains(b *testing.B) {
+	q := NewPermQuorum(benchN, benchD, 1, "H")
+	s := randStrings(1, 1, 20)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Contains(s, i%benchN, (i*7)%benchN)
+	}
+}
+
+// BenchmarkPollContains measures one J membership query, w ∈ J(x, r).
+func BenchmarkPollContains(b *testing.B) {
+	p := NewPoll(benchN, benchD, benchN*benchN, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Contains(i%benchN, uint64(i), (i*7)%benchN)
+	}
+}
+
+// TestPermQuorumStateless pins down that PermQuorum holds no per-string
+// state: its fields are the fixed geometry and seed, and queries for ever
+// new strings allocate nothing, so nothing can accumulate however many
+// strings a long-lived log presents.
+func TestPermQuorumStateless(t *testing.T) {
+	typ := reflect.TypeOf(PermQuorum{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int, reflect.Uint64:
+		default:
+			t.Errorf("PermQuorum.%s is a %s: the sampler must hold only its geometry and seed", f.Name, f.Type)
+		}
+	}
+	q := NewPermQuorum(64, 12, 5, "H")
+	strs := randStrings(6, 200, 24)
+	buf := make([]int, 0, 12)
+	i := 0
+	allocs := testing.AllocsPerRun(len(strs)-1, func() {
+		s := strs[i%len(strs)]
+		i++
+		q.Contains(s, i%64, (i*5)%64)
+		buf = q.QuorumAppend(buf[:0], s, i%64)
+	})
+	if allocs != 0 {
+		t.Fatalf("queries for new strings allocate %.1f times each, want 0", allocs)
 	}
 }

@@ -145,8 +145,9 @@ func (r *SyncRunner) initNodes() {
 func (r *SyncRunner) step() {
 	var toDeliver []Envelope
 	if r.inj == nil {
-		toDeliver = r.pending
-		r.pending = nil
+		// Double-buffer: this round's sends reuse the storage the previous
+		// round delivered from instead of regrowing a fresh slice.
+		toDeliver, r.pending = r.pending, r.due[:0]
 	} else {
 		toDeliver = r.due[:0]
 		keep := r.pending[:0]
@@ -157,9 +158,9 @@ func (r *SyncRunner) step() {
 				keep = append(keep, e)
 			}
 		}
-		r.due = toDeliver
 		r.pending = keep
 	}
+	r.due = toDeliver
 	carried := len(r.pending) // in-flight delayed messages are not this round's sends
 
 	// Deliver to correct nodes first and track what they send this round.
