@@ -23,34 +23,42 @@ func ints(l []int32) []int {
 // query exactly as the samplers it materialises: membership, the ordered
 // distinct list and the distinct count, for H(s, x) and J(x, r). One index
 // serves every generated query, so later queries also exercise entries
-// built by earlier ones, several string rows and several labels per x.
-// n = 100 spans four bitset words.
+// built by earlier ones, row switches between strings, several labels per
+// x (more than jCheckMax, so checks past the cap reach the sampler) and
+// labels equal mod |R|. n = 100 spans four bitset words.
 func TestIndexMatchesSamplers(t *testing.T) {
 	p := DefaultParams(100)
 	smp := NewSamplers(p)
-	ix := newMemberIndex(p.N, smp)
+	const self = 7
+	ix := newMemberIndex(self, p.N, smp)
 	var strs intern.Table
 	pool := make([]bitstring.String, 5)
 	src := prng.New(3)
 	for i := range pool {
 		pool[i] = bitstring.Random(src, p.StringBits)
 	}
-	h := func(k, x8, y8 uint8) bool {
-		s := pool[int(k)%len(pool)]
-		x, y := int(x8)%p.N, int(y8)%p.N
-		e := ix.h(smp.H, strs.ID(s), s, x)
+	sameH := func(e int32, s bitstring.String, x, y int) bool {
 		want := distinct(smp.H.Quorum(s, x))
 		return ix.has(e, y) == smp.H.Contains(s, x, y) &&
 			slices.Equal(ints(ix.list(e)), want) &&
-			ix.size(e) == countDistinct(smp.H.Quorum(s, x))
+			ix.size(e) == len(want) && ix.hCount(s, x) == len(want)
+	}
+	h := func(k, x8, y8 uint8) bool {
+		s := pool[int(k)%len(pool)]
+		x, y := int(x8)%p.N, int(y8)%p.N
+		sid := strs.ID(s)
+		return sameH(ix.h(sid, s, x), s, x, y) && sameH(ix.hSelf(sid, s), s, self, y)
 	}
 	if err := quick.Check(h, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal("H:", err)
 	}
-	j := func(x8 uint8, r8 uint8, w8 uint8) bool {
-		// Few labels per x, so chains both grow and get hit.
-		x, r, w := int(x8)%p.N, uint64(r8%4)*7919, int(w8)%p.N
-		e := ix.j(smp.J, x, r)
+	j := func(x8, r8, w8, wrap uint8) bool {
+		x, w := int(x8)%p.N, int(w8)%p.N
+		r := uint64(r8%8)*7919 + uint64(wrap%2)*p.Labels
+		if ix.hasJ(x, r, w) != smp.J.Contains(x, r, w) {
+			return false
+		}
+		e := ix.j(x, r)
 		want := smp.J.List(x, r)
 		return ix.has(e, w) == smp.J.Contains(x, r, w) &&
 			slices.Equal(ints(ix.list(e)), want) &&
@@ -77,24 +85,28 @@ func TestResetDropsIndexOfOldSamplers(t *testing.T) {
 	nd := newTestNode(5, s, p, smp)
 	const r = 77
 	for x := 0; x < p.N; x++ {
-		nd.idx.h(nd.smp.H, nd.sthisID, s, x)
-		nd.idx.j(nd.smp.J, x, r)
+		nd.idx.h(nd.sthisID, s, x)
+		nd.idx.j(x, r)
 	}
+	nd.idx.hSelf(nd.sthisID, s)
 	next := attemptSamplers(p, 1)
 	nd.Reset(s, next, prng.New(9))
 	differs := 0
 	for x := 0; x < p.N; x++ {
-		he := nd.idx.h(nd.smp.H, nd.sthisID, s, x)
+		he := nd.idx.h(nd.sthisID, s, x)
 		if got, want := ints(nd.idx.list(he)), distinct(next.H.Quorum(s, x)); !slices.Equal(got, want) {
 			t.Fatalf("after Reset, H(s, %d) = %v, want the new samplers' %v", x, got, want)
 		}
-		je := nd.idx.j(nd.smp.J, x, r)
+		je := nd.idx.j(x, r)
 		if got, want := ints(nd.idx.list(je)), next.J.List(x, r); !slices.Equal(got, want) {
 			t.Fatalf("after Reset, J(%d, r) = %v, want the new samplers' %v", x, got, want)
 		}
 		if !slices.Equal(distinct(smp.H.Quorum(s, x)), distinct(next.H.Quorum(s, x))) {
 			differs++
 		}
+	}
+	if got, want := ints(nd.idx.list(nd.idx.hSelf(nd.sthisID, s))), distinct(next.H.Quorum(s, 5)); !slices.Equal(got, want) {
+		t.Fatalf("after Reset, H(s, this) = %v, want the new samplers' %v", got, want)
 	}
 	if differs == 0 {
 		t.Fatal("attempt salt left every quorum unchanged; the test proves nothing")
@@ -128,7 +140,7 @@ type fw1Delivery struct {
 
 // indexFootprint returns the bytes a node's membership index holds.
 func indexFootprint(ix *memberIndex) int {
-	b := 4*cap(ix.hslot) + 4*cap(ix.jhead) + 8*cap(ix.scratch)
+	b := 4*cap(ix.row) + 8*cap(ix.selfs) + 4*cap(ix.jhead) + 8*cap(ix.scratch)
 	for _, c := range ix.chunks {
 		b += 4 * cap(c)
 	}
@@ -171,14 +183,65 @@ func TestIndexBoundedAcrossResets(t *testing.T) {
 	s := bitstring.Random(src, p.StringBits)
 	keys := fw1Pass(p, smp, s, z, 0)
 	allocs := testing.AllocsPerRun(20, func() {
-		pooled.idx.reset()
+		pooled.idx.reset(smp)
 		for _, d := range keys {
-			pooled.idx.h(smp.H, 0, s, d.msg.W)
-			pooled.idx.h(smp.H, 0, s, d.msg.X)
-			pooled.idx.j(smp.J, d.msg.X, d.msg.R)
+			pooled.idx.h(0, s, d.msg.W)
+			pooled.idx.h(0, s, d.msg.X)
+			pooled.idx.hasJ(d.msg.X, d.msg.R, d.msg.W)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("warm index rebuild allocates %.0f times per instance, want 0", allocs)
+	}
+}
+
+// TestIndexBoundedUnderFlood has one Byzantine peer y deliver 10^5 Fw1 and
+// 10^5 Fw2 with distinct labels, all passing every check but the poll-list
+// one, plus Fw2 for 500 strings it made up and had interned by a Poll. The
+// sender writes X, R and S, so none of this may grow the index: it must
+// stay within what an honest instance can build (an H(s_this, ·) row, the
+// candidate's H(s, this), the node's own poll and jCheckMax check labels
+// per x), and every answer must still be the sampler's.
+func TestIndexBoundedUnderFlood(t *testing.T) {
+	const z, flood = 3, 100_000
+	p, smp, s := testSetup(t, 24)
+	nd := newTestNode(z, s, p, smp)
+	nd.Init(nopCtx{})
+	var y int
+	for _, y = range distinct(smp.H.Quorum(s, z)) {
+		if y != z {
+			break
+		}
+	}
+	xs, ws := distinct(smp.H.Inverse(s, y)), distinct(smp.H.Inverse(s, z))
+	ctx := &fakeCtx{}
+	for i := 0; i < flood; i++ {
+		r := uint64(i) * 7
+		nd.Deliver(ctx, y, MsgFw1{X: xs[i%len(xs)], S: s, R: r, W: ws[i%len(ws)]})
+		nd.Deliver(ctx, y, MsgFw2{X: i % p.N, S: s, R: r})
+	}
+	src := prng.New(5)
+	rPoll := findLabelWith(t, smp, p.Labels, y, z)
+	for made := 0; made < 500; {
+		junk := bitstring.Random(src, p.StringBits)
+		if !smp.H.Contains(junk, z, y) {
+			continue
+		}
+		made++
+		nd.Deliver(ctx, y, MsgPoll{S: junk, R: rPoll})
+		for i := 0; i < 4; i++ {
+			nd.Deliver(ctx, y, MsgFw2{X: i, S: junk, R: uint64(i)})
+		}
+	}
+	if bound := p.N + 1 + 1 + p.N*jCheckMax; nd.idx.entries > bound {
+		t.Fatalf("flood left %d index entries, an instance holds at most %d", nd.idx.entries, bound)
+	}
+	for x := 0; x < p.N; x++ {
+		for i := 0; i < 50; i++ {
+			r, w := uint64(i)*7, (x+i)%p.N
+			if nd.idx.hasJ(x, r, w) != smp.J.Contains(x, r, w) {
+				t.Fatalf("after the flood, hasJ(%d, %d, %d) disagrees with the sampler", x, r, w)
+			}
+		}
 	}
 }

@@ -182,7 +182,7 @@ func NewNode(id int, initial bitstring.String, params Params, smp *Samplers, rng
 		fw2Majority:   make(map[xsrID]bool),
 		polled:        make(map[xsID]bool),
 		answered:      make(map[xsID]bool),
-		idx:           newMemberIndex(params.N, smp),
+		idx:           newMemberIndex(id, params.N, smp),
 	}
 	// s_this always has a valid interned ID, even for the zero string, so
 	// the Algorithm 2 fast path can key state by it unconditionally.
@@ -242,7 +242,7 @@ func (n *Node) Reset(initial bitstring.String, smp *Samplers, rng *prng.Source) 
 	clear(n.fw2Majority)
 	clear(n.polled)
 	clear(n.answered)
-	n.idx.reset()
+	n.idx.reset(smp)
 	n.answerCount = 0
 	n.deferred = n.deferred[:0]
 	n.beliefDeferred = n.beliefDeferred[:0]
@@ -434,11 +434,11 @@ func (n *Node) startPull(ctx simnet.Context, sid intern.ID, s bitstring.String) 
 	st.label = r
 	n.stats.PullsStarted++
 	var poll simnet.Message = MsgPoll{S: s, R: r}
-	for _, w := range n.idx.list(n.idx.j(n.smp.J, n.id, r)) {
+	for _, w := range n.idx.list(n.idx.j(n.id, r)) {
 		ctx.Send(int(w), poll)
 	}
 	var pull simnet.Message = MsgPull{S: s, R: r}
-	for _, y := range n.idx.list(n.idx.h(n.smp.H, sid, s, n.id)) {
+	for _, y := range n.idx.list(n.idx.hSelf(sid, s)) {
 		ctx.Send(int(y), pull)
 	}
 }
@@ -474,12 +474,12 @@ func (n *Node) forwardPull(ctx simnet.Context, x int, sid intern.ID, s bitstring
 	n.pullForwarded[k] = true
 	// Index entries never move, so the poll list stays valid while the
 	// loop materialises quorums.
-	for _, w := range n.idx.list(n.idx.j(n.smp.J, x, r)) {
+	for _, w := range n.idx.list(n.idx.j(x, r)) {
 		// Box the Fw1 once per poll-list member, not once per quorum member:
 		// this double loop dominated the allocation profile of sustained-load
 		// runs (one interface conversion per Send).
 		var fw simnet.Message = MsgFw1{X: x, S: s, R: r, W: int(w)}
-		for _, z := range n.idx.list(n.idx.h(n.smp.H, sid, s, int(w))) {
+		for _, z := range n.idx.list(n.idx.h(sid, s, int(w))) {
 			ctx.Send(int(z), fw)
 		}
 	}
@@ -492,14 +492,14 @@ func (n *Node) onFw1(ctx simnet.Context, from int, m MsgFw1) {
 		return
 	}
 	sid := n.sthisID
-	if !n.idx.has(n.idx.h(n.smp.H, sid, m.S, m.W), n.id) { // this ∈ H(s, w)
+	if !n.idx.has(n.idx.h(sid, m.S, m.W), n.id) { // this ∈ H(s, w)
 		return
 	}
-	hx := n.idx.h(n.smp.H, sid, m.S, m.X)
+	hx := n.idx.h(sid, m.S, m.X)
 	if !n.idx.has(hx, from) { // y ∈ H(s, x)
 		return
 	}
-	if !n.idx.has(n.idx.j(n.smp.J, m.X, m.R), m.W) { // w ∈ J(x, r)
+	if !n.idx.hasJ(m.X, m.R, m.W) { // w ∈ J(x, r)
 		return
 	}
 	doneKey := xswID{x: m.X, s: sid, w: m.W}
@@ -534,21 +534,24 @@ func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
 	if m.S.Len() != n.params.StringBits || !n.inDomain(m.X) {
 		return
 	}
-	if !n.idx.has(n.idx.j(n.smp.J, m.X, m.R), n.id) { // this ∈ J(x, r)
-		return
-	}
-	// z ∈ H(s, this). A string this node has not interned yet is checked
-	// against the sampler and interned only once the sender is validated.
+	// z ∈ H(s, this). The index holds H(s, this) for the strings on the
+	// candidate list; any other string is checked against the sampler, so
+	// strings a peer makes up cost no index memory.
 	sid := n.strs.Lookup(m.S)
-	if sid == intern.None {
-		if !n.smp.H.Contains(m.S, n.id, from) {
+	hthis := int32(-1)
+	if sid != intern.None && n.candidates.Get(int(sid)) {
+		hthis = n.idx.hSelf(sid, m.S)
+		if !n.idx.has(hthis, from) {
 			return
 		}
-		sid = n.strs.ID(m.S)
-	}
-	hthis := n.idx.h(n.smp.H, sid, m.S, n.id)
-	if !n.idx.has(hthis, from) {
+	} else if !n.smp.H.Contains(m.S, n.id, from) {
 		return
+	}
+	if !n.idx.hasJ(m.X, m.R, n.id) { // this ∈ J(x, r)
+		return
+	}
+	if sid == intern.None {
+		sid = n.strs.ID(m.S)
 	}
 	k := xsrID{x: m.X, s: sid, r: m.R}
 	if n.fw2Majority[k] {
@@ -562,7 +565,13 @@ func (n *Node) onFw2(ctx simnet.Context, from int, m MsgFw2) {
 	if !set.Add(from) {
 		return // duplicate voucher: the count did not change
 	}
-	if 2*set.Len() <= n.idx.size(hthis) {
+	var quorum int
+	if hthis >= 0 {
+		quorum = n.idx.size(hthis)
+	} else {
+		quorum = n.idx.hCount(m.S, n.id)
+	}
+	if 2*set.Len() <= quorum {
 		return
 	}
 	n.fw2Majority[k] = true

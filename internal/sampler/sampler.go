@@ -45,6 +45,10 @@ type Quorum interface {
 	// multiset-based; the permutation construction returns distinct slots
 	// per j but the same node may appear under two different j.
 	Quorum(s bitstring.String, x int) []int
+	// QuorumAppend appends Quorum(s, x) to dst and returns the extended
+	// slice, the allocation-free form for callers that sample into a
+	// reused buffer (they pass dst[:0]).
+	QuorumAppend(dst []int, s bitstring.String, x int) []int
 	// Inverse returns every node x such that y ∈ Quorum(s, x).
 	Inverse(s bitstring.String, y int) []int
 	// Contains reports whether y ∈ Quorum(s, x).
@@ -53,16 +57,6 @@ type Quorum interface {
 	Size() int
 	// N returns the node-domain size.
 	N() int
-}
-
-// AppendQuorum is the optional allocation-free extension of Quorum: the
-// hot delivery paths (internal/core) probe for it and sample into a
-// caller-owned scratch slice instead of taking a fresh allocation per
-// query. Implementations append Quorum(s, x) to dst and return the
-// extended slice; dst's existing contents are preserved (callers pass
-// dst[:0] to reuse capacity).
-type AppendQuorum interface {
-	QuorumAppend(dst []int, s bitstring.String, x int) []int
 }
 
 // PermQuorum is the permutation-based quorum sampler described in the
@@ -97,7 +91,7 @@ func (q *PermQuorum) Quorum(s bitstring.String, x int) []int {
 	return q.QuorumAppend(make([]int, 0, q.d), s, x)
 }
 
-// QuorumAppend appends Quorum(s, x) to dst (sampler.AppendQuorum).
+// QuorumAppend appends Quorum(s, x) to dst.
 func (q *PermQuorum) QuorumAppend(dst []int, s bitstring.String, x int) []int {
 	h := s.Hash64()
 	for j := 0; j < q.d; j++ {
@@ -169,7 +163,7 @@ func (q *HashQuorum) Quorum(s bitstring.String, x int) []int {
 	return q.QuorumAppend(make([]int, 0, q.d), s, x)
 }
 
-// QuorumAppend appends Quorum(s, x) to dst (sampler.AppendQuorum).
+// QuorumAppend appends Quorum(s, x) to dst.
 func (q *HashQuorum) QuorumAppend(dst []int, s bitstring.String, x int) []int {
 	h := s.Hash64()
 	for j := 0; j < q.d; j++ {
